@@ -16,31 +16,31 @@ final class BitWriter(initial: Int = 1 << 12) {
       buf = java.util.Arrays.copyOf(buf, cap)
     }
 
-  private def flushFull(): Unit =
+  private def flushFull(): Unit = {
+    ensure(8)
     while (nbits >= 8) {
-      ensure(1)
       buf(bytePos) = (cur & 0xff).toByte
       bytePos += 1
       cur >>>= 8
       nbits -= 8
     }
+  }
 
   /** Writes a single bit (0 or 1). */
   def writeBit(b: Int): Unit = {
+    if (nbits == 64) flushFull() // the accumulator may be full (see writeBits)
     cur |= (b.toLong & 1L) << nbits
     nbits += 1
-    if (nbits == 64) flushFull()
   }
 
   /** Writes the low `n` bits of `v`, LSB first. n in [0, 57]. */
   def writeBits(v: Long, n: Int): Unit = {
     require(n >= 0 && n <= 57, s"writeBits n=$n")
-    // Drain first: single-bit writes may have filled the accumulator up to
-    // 63 bits, and a shift past bit 63 would silently drop bits.
-    flushFull()
+    // Drain only when the accumulator cannot take n more bits (a shift
+    // past bit 63 would silently drop bits); after a drain it holds < 8.
+    if (nbits + n > 64) flushFull()
     cur |= (v & ((1L << n) - 1)) << nbits
     nbits += n
-    flushFull()
   }
 
   /** Total bits written so far. */

@@ -82,35 +82,35 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
         s"slice out of range on dim $k: ${origin(k)}+${extents(k)} > ${dims(k)}")
       k += 1
     }
-    val out = new Array[Double](extents.map(_.toLong).product.toInt)
-    val c = new Array[Int](ndim)
-    var o = 0
-    while (o < out.length) {
-      var rem = o; var i = 0
-      while (i < ndim) {
-        val st = extents.drop(i + 1).product
-        c(i) = origin(i) + rem / st; rem %= st
-        i += 1
-      }
-      out(o) = data(index(c))
-      o += 1
-    }
-    new GridData(extents, out)
+    val sub = new GridData(extents, new Array[Double](extents.map(_.toLong).product.toInt))
+    copyBox(origin, sub, intoSub = true)
+    sub
   }
 
   /** Writes `sub` back at `origin` (inverse of [[slice]]). */
-  def paste(origin: Array[Int], sub: GridData): Unit = {
-    val extents = sub.dims
-    val c = new Array[Int](ndim)
+  def paste(origin: Array[Int], sub: GridData): Unit = copyBox(origin, sub, intoSub = false)
+
+  /** Copies the box at `origin` with `sub`'s extents between this grid and
+    * `sub`, one contiguous row of the last dimension at a time.
+    */
+  private def copyBox(origin: Array[Int], sub: GridData, intoSub: Boolean): Unit = {
+    val ext = sub.dims
+    val row = ext(ndim - 1)
+    val c = new Array[Int](ndim) // box coordinates of the current row
     var o = 0
     while (o < sub.data.length) {
-      var rem = o; var i = 0
-      while (i < ndim) {
-        c(i) = origin(i) + rem / sub.strides(i); rem %= sub.strides(i)
-        i += 1
+      var at = 0
+      var i = 0
+      while (i < ndim) { at += (origin(i) + c(i)) * strides(i); i += 1 }
+      if (intoSub) System.arraycopy(data, at, sub.data, o, row)
+      else System.arraycopy(sub.data, o, data, at, row)
+      o += row
+      var k = ndim - 2
+      var carry = true
+      while (carry && k >= 0) {
+        c(k) += 1
+        if (c(k) < ext(k)) carry = false else { c(k) = 0; k -= 1 }
       }
-      data(index(c)) = sub.data(o)
-      o += 1
     }
   }
 

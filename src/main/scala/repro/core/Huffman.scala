@@ -20,21 +20,29 @@ object Huffman {
     if (symbols.isEmpty) return w.toBytes
 
     // Frequency table — dense array fast path for bounded alphabets
-    // (quantizer codes are 0..2·radius), LongMap fallback otherwise.
+    // (quantizer codes are 0..2·radius), LongMap fallback otherwise. The
+    // dense arrays span only the [minSym, maxSym] window: quantizer codes
+    // cluster around the radius, far from 0.
+    var minSym = Int.MaxValue
     var maxSym = 0
     var i = 0
     while (i < symbols.length) {
-      require(symbols(i) >= 0, s"negative symbol ${symbols(i)}")
-      if (symbols(i) > maxSym) maxSym = symbols(i)
+      val sym = symbols(i)
+      require(sym >= 0, s"negative symbol $sym")
+      if (sym > maxSym) maxSym = sym
+      if (sym < minSym) minSym = sym
       i += 1
     }
+    val dense = maxSym < (1 << 21)
     val freq = mutable.LongMap.empty[Long]
-    if (maxSym < (1 << 21)) {
-      val counts = new Array[Long](maxSym + 1)
+    if (dense) {
+      val counts = new Array[Long](maxSym - minSym + 1)
       i = 0
-      while (i < symbols.length) { counts(symbols(i)) += 1; i += 1 }
+      while (i < symbols.length) { counts(symbols(i) - minSym) += 1; i += 1 }
+      // Ascending symbol order: the map's iteration order, and with it the
+      // code lengths, depends on the insertion order.
       i = 0
-      while (i <= maxSym) { if (counts(i) > 0) freq.update(i.toLong, counts(i)); i += 1 }
+      while (i < counts.length) { if (counts(i) > 0) freq.update((i + minSym).toLong, counts(i)); i += 1 }
     } else {
       i = 0
       while (i < symbols.length) {
@@ -53,16 +61,15 @@ object Huffman {
     val codes = canonicalCodes(syms.map(s => (s, lengths(s))))
     // Bit-reversed code table for fast emission: BitWriter is LSB-first,
     // so writing the reversed code emits the canonical code MSB-first.
-    // Dense arrays when the alphabet is bounded.
-    val dense = maxSym < (1 << 21)
-    val revArr = if (dense) new Array[Long](maxSym + 1) else null
-    val lenArr = if (dense) new Array[Int](maxSym + 1) else null
-    val revCodes = new scala.collection.mutable.LongMap[(Long, Int)](codes.size * 2)
+    // Dense arrays over the symbol window when the alphabet is bounded.
+    val revArr = if (dense) new Array[Long](maxSym - minSym + 1) else null
+    val lenArr = if (dense) new Array[Int](maxSym - minSym + 1) else null
+    val revCodes = if (dense) null else new mutable.LongMap[(Long, Int)](codes.size * 2)
     codes.foreach { case (sym, (code, len)) =>
       var rev = 0L
       var b = 0
       while (b < len) { rev = (rev << 1) | ((code >>> b) & 1L); b += 1 }
-      if (dense) { revArr(sym.toInt) = rev; lenArr(sym.toInt) = len }
+      if (dense) { revArr(sym.toInt - minSym) = rev; lenArr(sym.toInt - minSym) = len }
       else revCodes.update(sym, (rev, len))
     }
     val bw = new BitWriter(math.max(1024, symbols.length / 2))
@@ -70,7 +77,7 @@ object Huffman {
     while (i < symbols.length) {
       var rev = 0L
       var len = 0
-      if (dense) { val sIdx = symbols(i); rev = revArr(sIdx); len = lenArr(sIdx) }
+      if (dense) { val sIdx = symbols(i) - minSym; rev = revArr(sIdx); len = lenArr(sIdx) }
       else { val p = revCodes(symbols(i).toLong); rev = p._1; len = p._2 }
       if (len <= 57) bw.writeBits(rev, len)
       else {

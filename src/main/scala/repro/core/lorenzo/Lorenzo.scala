@@ -40,11 +40,10 @@ object Lorenzo {
     }
   }
 
-  /** Predict/quantize sweep shared by compression and decompression.
-    * `recon(idx, pred)` returns the reconstructed value to store.
+  /** Predict/quantize sweep shared by compression, trials and
+    * decompression; `sink` returns the reconstructed value to store.
     */
-  private def sweep(dims: Array[Int], data: Array[Double], order: Int)
-                   (recon: (Int, Double) => Double): Unit = {
+  private def sweep(dims: Array[Int], data: Array[Double], order: Int, sink: PointSink): Unit = {
     val g = new GridData(dims, data)
     val st = new Stencil(dims, g.strides, order)
     val nd = dims.length
@@ -72,7 +71,7 @@ object Lorenzo {
           t += 1
         }
       }
-      data(idx) = recon(idx, pred)
+      data(idx) = sink.handle(idx, pred)
       // advance coords (row-major, last dim fastest)
       j = nd - 1
       var carry = true
@@ -88,8 +87,8 @@ object Lorenzo {
     * and outliers (mutates `work` into the reconstruction).
     */
   def compressWith(work: GridData, eb: Double, order: Int): (Array[Int], Array[Double]) = {
-    val quant = new LinearQuantizer(eb, LevelInterpRadius)
-    sweep(work.dims, work.data, order)((idx, pred) => quant.quantize(work.data(idx), pred))
+    val quant = new LinearQuantizer(eb, LevelInterpRadius, expectedCodes = work.size)
+    sweep(work.dims, work.data, order, new PointSink(work.data, quant, null, 1, stats = false))
     (quant.codesArray, quant.outliersArray)
   }
 
@@ -98,7 +97,7 @@ object Lorenzo {
                      codes: Array[Int], outliers: Array[Double]): GridData = {
     val data = new Array[Double](dims.map(_.toLong).product.toInt)
     val deq = new LinearDequantizer(eb, LevelInterpRadius, codes, outliers)
-    sweep(dims, data, order)((_, pred) => deq.next(pred))
+    sweep(dims, data, order, new PointSink(data, null, deq, 1, stats = false))
     new GridData(dims.clone(), data)
   }
 
@@ -113,24 +112,17 @@ object Lorenzo {
   def trial(sample: GridData, eb: Double): Seq[LorenzoTrial] =
     Seq(1, 2).map { order =>
       val work = sample.copyGrid
-      var sumAbs = 0.0
-      var sumSqRecon = 0.0
-      var cnt = 0L
-      val quant = new LinearQuantizer(eb, LevelInterpRadius)
-      sweep(work.dims, work.data, order) { (idx, pred) =>
-        val v = work.data(idx)
-        sumAbs += math.abs(v - pred); cnt += 1
-        val recon = quant.quantize(v, pred)
-        sumSqRecon += (recon - v) * (recon - v)
-        recon
-      }
+      val quant = new LinearQuantizer(eb, LevelInterpRadius, expectedCodes = work.size)
+      val sink = new PointSink(work.data, quant, null, 1, stats = true)
+      sweep(work.dims, work.data, order, sink)
+      val cnt = sink.count
       val codes = quant.codesArray
       val encodedBits =
         if (codes.isEmpty) 0.0
         else Lossless.compress(Huffman.encode(codes)).length * 8.0
-      LorenzoTrial(order, cnt, if (cnt == 0) 0 else sumAbs / cnt,
-        if (cnt == 0) 0 else sumSqRecon / cnt,
-        encodedBits + 36.0 * quant.outliersArray.length)
+      LorenzoTrial(order, cnt, if (cnt == 0) 0 else sink.sumAbs / cnt,
+        if (cnt == 0) 0 else sink.sumSqRecon / cnt,
+        encodedBits + 36.0 * quant.outlierCount)
     }
 
   private val LevelInterpRadius = repro.core.interp.LevelInterp.Radius

@@ -249,14 +249,14 @@ object AutoTuner {
     val nBlocks = bDims.product
     if (nBlocks <= 1) return plan
     val out = new Array[Byte](nBlocks)
+    val bStrides = Array.tabulate(nd)(k => bDims.drop(k + 1).product)
     val candidates = features.splines.toArray
     val bc = new Array[Int](nd)
     var bid = 0
     while (bid < nBlocks) {
       var rem = bid; var k = 0
       while (k < nd) {
-        val st = bDims.drop(k + 1).product
-        bc(k) = rem / st; rem %= st
+        bc(k) = rem / bStrides(k); rem %= bStrides(k)
         k += 1
       }
       val origin = new Array[Int](nd)

@@ -64,6 +64,22 @@ class GridDataSpec extends AnyFunSuite {
       assert(h(Array(2 + i, 1 + j)) == g(Array(2 + i, 1 + j)))
   }
 
+  test("slice and paste round-trip a window of a non-cubic 4-D grid") {
+    val g = GridData.tabulate(Array(3, 5, 4, 7))(c => c(0) * 1000 + c(1) * 100 + c(2) * 10 + c(3))
+    val origin = Array(1, 2, 0, 3)
+    val s = g.slice(origin, Array(2, 3, 4, 4))
+    assert(s.dims.toSeq == Seq(2, 3, 4, 4))
+    for (a <- 0 until 2; b <- 0 until 3; c <- 0 until 4; d <- 0 until 4)
+      assert(s(Array(a, b, c, d)) == g(Array(a + 1, b + 2, c, d + 3)))
+    val h = new GridData(g.dims, new Array[Double](g.size))
+    h.paste(origin, s)
+    for (i <- 0 until g.size) {
+      val c = g.coords(i)
+      val inside = (0 until 4).forall(k => c(k) >= origin(k) && c(k) < origin(k) + s.dims(k))
+      assert(h.data(i) == (if (inside) g.data(i) else 0.0), s"at ${c.mkString(",")}")
+    }
+  }
+
   test("slice out of range throws") {
     val g = GridData.tabulate(Array(3, 3))(_ => 0.0)
     intercept[IllegalArgumentException](g.slice(Array(2, 0), Array(2, 2)))

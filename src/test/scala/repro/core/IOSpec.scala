@@ -92,11 +92,16 @@ class BitIOSpec extends AnyFunSuite {
   test("mixed bit/bits sequences round-trip") {
     val w = new BitWriter()
     w.writeBit(1); w.writeBits(0xABCDL, 16); w.writeBit(0); w.writeBits(5L, 3)
+    // 21 + 43 bits fill the 64-bit accumulator exactly before the next bit
+    w.writeBits(0x5A5A5A5A5AAL, 43); w.writeBit(1); w.writeBits((1L << 57) - 3, 57)
     val r = new BitReader(w.toBytes)
     assert(r.readBit() == 1)
     assert(r.readBits(16) == 0xABCDL)
     assert(r.readBit() == 0)
     assert(r.readBits(3) == 5L)
+    assert(r.readBits(43) == 0x5A5A5A5A5AAL)
+    assert(r.readBit() == 1)
+    assert(r.readBits(57) == (1L << 57) - 3)
   }
 
   test("bitCount tracks written bits") {

@@ -182,6 +182,19 @@ class LevelInterpSpec extends AnyFunSuite {
     assert(t.totalBits > 0)
   }
 
+  test("a stats-only trial reports the encoding trial's error statistics and no size") {
+    val g = TestGrids.smooth3D()
+    val plan = InterpPlan.uniform(g.dims, 32,
+      LevelConfig(Spline.Kind.Natural, Paradigm.MultiDim, sameLevel = false), 1e-3)
+    val full = LevelInterp.trial(g, plan)
+    val stats = LevelInterp.trial(g, plan, encode = false)
+    assert(stats.nPredicted == full.nPredicted)
+    assert(stats.sumAbsErr == full.sumAbsErr && stats.sumSqRecon == full.sumSqRecon)
+    assert(stats.perLevelAbs.toSeq == full.perLevelAbs.toSeq)
+    assert(stats.perLevelCnt.toSeq == full.perLevelCnt.toSeq)
+    assert(stats.estPayloadBits.isNaN && full.estPayloadBits > 0)
+  }
+
   test("cubic beats linear on smooth data (prediction accuracy)") {
     val g = TestGrids.smooth3D()
     val lin = LevelInterp.trial(g, InterpPlan.uniform(g.dims, 32,
